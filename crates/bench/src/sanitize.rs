@@ -301,8 +301,8 @@ fn exercise_rayon(len: u64) -> Result<(), String> {
 /// model. This drives the hierarchy's shared-access annotations
 /// (`thermal::MgHierarchy.levels`) from several threads at once: the
 /// first solver takes the cached context, the others rebuild default
-/// contexts, and `take_solver` re-arms every one with the same
-/// `Arc`-shared hierarchy. Beyond race-freedom, the solves must agree
+/// contexts, and every solve is preconditioned by the model's one
+/// hierarchy. Beyond race-freedom, the solves must agree
 /// bitwise — the multigrid path promises width- and
 /// schedule-invariant arithmetic.
 fn exercise_thermal_mg() -> Result<(), String> {

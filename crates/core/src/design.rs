@@ -31,8 +31,9 @@ pub struct CmpDesign {
     pub leakage_feedback: bool,
     /// Override the chip's temperature threshold, °C.
     pub threshold_override: Option<f64>,
-    /// Steady-solve preconditioner ([`PrecondChoice::Auto`] selects
-    /// multigrid; benchmarks pin `Jacobi` for the comparison arm).
+    /// Steady-solve preconditioner: [`PrecondChoice::Auto`] (multigrid
+    /// when the model's hierarchy builds, Jacobi otherwise) or
+    /// [`PrecondChoice::Jacobi`], the reference arm benchmarks pin.
     pub preconditioner: PrecondChoice,
 }
 

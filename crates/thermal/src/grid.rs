@@ -19,15 +19,13 @@
 
 use crate::floorplan::{Floorplan, Rect};
 use crate::materials::Material;
-use crate::mg::{MgHierarchy, MgOptions, PrecondChoice};
+use crate::mg::{MgHierarchy, PrecondChoice};
 use crate::sparse::{solve_cg_with, CgOptions, CsrMatrix, SolverContext, TripletMatrix};
 use crate::steady::Solution;
-use crate::stencil::{GridStructure, StencilMatrix};
 use crate::{Result, ThermalError};
 use immersion_sanitizer::{TrackedMutex, TrackedMutexGuard};
 use immersion_units::{Celsius, HeatTransferCoeff};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Which surface of a layer a boundary condition applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -293,13 +291,10 @@ pub struct ThermalModel {
     /// Tracked by the concurrency sanitizer under the same name the
     /// static R11 lock-order analysis derives for this field.
     solver: TrackedMutex<SolverContext>,
-    /// The 7-point stencil view of `matrix` (present whenever the
-    /// grid-born matrix classifies, which it does by construction);
-    /// shared with every solver context via `Arc`.
-    stencil: Option<Arc<StencilMatrix>>,
-    /// The multigrid hierarchy preconditioning steady solves; `None`
-    /// under [`PrecondChoice::Jacobi`] or when the build declined.
-    mg: Option<Arc<MgHierarchy>>,
+    /// The multigrid hierarchy preconditioning steady solves, handed to
+    /// every one of them; `None` under [`PrecondChoice::Jacobi`] or when
+    /// the build declined.
+    mg: Option<Box<MgHierarchy>>,
 }
 
 /// Incremental builder for a [`ThermalModel`].
@@ -494,19 +489,11 @@ impl ModelBuilder {
         }
 
         let matrix = trip.to_csr();
-        let dims: Vec<(usize, usize)> = self.layers.iter().map(|l| (l.nx, l.ny)).collect();
-        let structure = GridStructure::new(&dims);
-        let stencil = StencilMatrix::from_csr(&matrix, &structure).map(Arc::new);
         let mg = match self.precond {
+            PrecondChoice::Auto => MgHierarchy::build(&matrix),
             PrecondChoice::Jacobi => None,
-            PrecondChoice::Auto => {
-                MgHierarchy::build(&matrix, MgOptions::default(), stencil.clone())
-            }
-            PrecondChoice::Multigrid(o) => MgHierarchy::build(&matrix, o, stencil.clone()),
         };
-        let mut ctx = SolverContext::new(&matrix);
-        ctx.attach_fast_paths(mg.clone(), stencil.clone());
-        let solver = TrackedMutex::new("thermal::ThermalModel.solver", ctx);
+        let solver = TrackedMutex::new("thermal::ThermalModel.solver", SolverContext::new(&matrix));
         Ok(ThermalModel {
             layers: self.layers,
             offsets,
@@ -517,7 +504,6 @@ impl ModelBuilder {
             capacities,
             cg: self.cg,
             solver,
-            stencil,
             mg,
         })
     }
@@ -598,13 +584,6 @@ impl ThermalModel {
         &self.conv_ties
     }
 
-    /// The 7-point stencil view of the conductance matrix, when the
-    /// grid discretization classified (it does for every model this
-    /// builder produces).
-    pub fn stencil(&self) -> Option<&StencilMatrix> {
-        self.stencil.as_deref()
-    }
-
     /// The multigrid hierarchy preconditioning steady solves, if armed.
     pub fn multigrid(&self) -> Option<&MgHierarchy> {
         self.mg.as_deref()
@@ -661,7 +640,7 @@ impl ThermalModel {
             Some(w) => w.to_vec(),
             None => vec![self.mean_ambient(); self.n_nodes],
         };
-        let solved = solve_cg_with(&self.matrix, &q, &guess, self.cg, &mut ctx);
+        let solved = self.solve_with(&q, &guess, &mut ctx);
         self.put_solver(ctx);
         let (t, iters) = solved?;
         Ok(Solution::new(self, t, iters))
@@ -684,10 +663,21 @@ impl ThermalModel {
         self.injected_divergence()?;
         let q = self.rhs(power)?;
         let mut ctx = self.take_solver();
-        let solved = solve_cg_with(&self.matrix, &q, guess, self.cg, &mut ctx);
+        let solved = self.solve_with(&q, guess, &mut ctx);
         self.put_solver(ctx);
         let (t, iters) = solved?;
         Ok(Solution::new(self, t, iters))
+    }
+
+    /// The one CG call every steady solve makes: this model's matrix,
+    /// preconditioned by its own hierarchy (Jacobi when it has none).
+    fn solve_with(
+        &self,
+        q: &[f64],
+        guess: &[f64],
+        ctx: &mut SolverContext,
+    ) -> Result<(Vec<f64>, usize)> {
+        solve_cg_with(&self.matrix, self.multigrid(), q, guess, self.cg, ctx)
     }
 
     /// Fault-injection hook at the entry of every steady solve: one
@@ -730,18 +720,14 @@ impl ThermalModel {
     /// without holding the lock. A concurrent caller finding the slot
     /// already taken gets a default context, which `solve_cg_with`
     /// transparently rebuilds — correct, just without the warm start.
+    /// The preconditioner is not context state, so both run the same.
     fn take_solver(&self) -> SolverContext {
         let mut slot = self.lock_solver();
         immersion_sanitizer::shared_write(
             "thermal::ThermalModel.solver",
             immersion_sanitizer::obj_id(self),
         );
-        let mut ctx = std::mem::take(&mut *slot);
-        // A default context (concurrent take) has no fast paths; re-arm
-        // it so every solve — not just the cached-context one — runs
-        // the multigrid/stencil route.
-        ctx.attach_fast_paths(self.mg.clone(), self.stencil.clone());
-        ctx
+        std::mem::take(&mut *slot)
     }
 
     /// Return the context after a solve. If another solve slipped in

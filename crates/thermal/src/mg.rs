@@ -29,79 +29,38 @@
 //! path, which are deterministic only per fixed width); see
 //! `dot_stable` in [`crate::sparse`] for the reduction half of that
 //! story.
-//!
-//! Optional **mixed precision**: with [`MgOptions::mixed_precision`]
-//! set, all levels below the finest smooth in `f32` (halving the
-//! bandwidth the cycle is bound by) while the finest level — residual
-//! computation and smoothing — stays in `f64`. The preconditioner is
-//! then only approximately symmetric, but CG tolerates it: the outer
-//! iteration carries full-precision residuals, so the converged answer
-//! is identical to tolerance.
 
 use crate::sparse::CsrMatrix;
-use crate::stencil::StencilMatrix;
 use immersion_sanitizer as sanitizer;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Sanitizer cell covering the hierarchy's level buffers: written once
 /// at build, read by every `apply`. Concurrent applies are read-read;
 /// an apply unordered with the build would be a real publication bug.
 const MG_CELL: &str = "thermal::MgHierarchy.levels";
 
-/// Tuning knobs for the multigrid hierarchy and cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MgOptions {
-    /// Symmetric Gauss-Seidel sweeps before coarse-grid correction.
-    pub pre_sweeps: usize,
-    /// Symmetric Gauss-Seidel sweeps after coarse-grid correction.
-    /// Keep equal to `pre_sweeps`: the V-cycle is a symmetric
-    /// preconditioner only when the pre- and post-smoothers are
-    /// adjoint, which equal counts of the (self-adjoint) symmetric
-    /// sweep guarantee.
-    pub post_sweeps: usize,
-    /// Damping of the one Jacobi sweep applied to the tentative
-    /// prolongator (smoothed aggregation's ω, conventionally 2/3).
-    pub interpolation_damping_factor: f64,
-    /// Smooth the tentative prolongator (`false` = plain aggregation,
-    /// cheaper setup but slower convergence).
-    pub smoothed_interpolation: bool,
-    /// Stop coarsening at or below this many nodes and solve directly.
-    pub coarse_direct_limit: usize,
-    /// Hard cap on hierarchy depth.
-    pub max_levels: usize,
-    /// Run levels below the finest in `f32` (f64 residual correction
-    /// on the finest level keeps the outer CG at full precision).
-    pub mixed_precision: bool,
-}
-
-impl Default for MgOptions {
-    fn default() -> Self {
-        MgOptions {
-            pre_sweeps: 2,
-            post_sweeps: 2,
-            interpolation_damping_factor: 2.0 / 3.0,
-            smoothed_interpolation: true,
-            coarse_direct_limit: 120,
-            max_levels: 12,
-            mixed_precision: false,
-        }
-    }
-}
+/// Symmetric Gauss-Seidel sweeps before and after the coarse-grid
+/// correction. One count for both keeps the pre- and post-smoothers
+/// adjoint, which is what makes the V-cycle a symmetric preconditioner.
+const SMOOTHING_SWEEPS: usize = 2;
+/// Damping ω of the one Jacobi sweep applied to the tentative
+/// prolongator (smoothed aggregation's conventional 2/3).
+const INTERPOLATION_DAMPING: f64 = 2.0 / 3.0;
+/// Stop coarsening at or below this many nodes and solve directly.
+const COARSE_DIRECT_LIMIT: usize = 120;
+/// Hard cap on hierarchy depth.
+const MAX_LEVELS: usize = 12;
 
 /// Preconditioner selection for a thermal model.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PrecondChoice {
-    /// Multigrid with default options when the hierarchy builds,
-    /// Jacobi otherwise (non-SPD coarse operator, degenerate grid, …).
+    /// Multigrid when the hierarchy builds, Jacobi otherwise (non-SPD
+    /// coarse operator, degenerate grid, …).
     #[default]
     Auto,
-    /// Point-Jacobi (the pre-multigrid behaviour).
+    /// Point-Jacobi: the reference arm benchmarks compare against.
     Jacobi,
-    /// Multigrid with explicit options; still falls back to Jacobi if
-    /// the hierarchy cannot be built.
-    Multigrid(MgOptions),
 }
 
 /// A rectangular CSR matrix for the inter-level transfer operators.
@@ -202,75 +161,6 @@ impl RectCsr {
     }
 }
 
-/// `f32` mirror of a square CSR operator (values only narrowed; the
-/// structure is shared semantics-wise with the `f64` original).
-#[derive(Debug, Clone)]
-struct Csr32 {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f32>,
-}
-
-impl Csr32 {
-    fn of(a: &CsrMatrix) -> Csr32 {
-        let n = a.dim();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::new();
-        let mut values = Vec::new();
-        for i in 0..n {
-            for (j, v) in a.row(i) {
-                col_idx.push(j as u32);
-                values.push(v as f32);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Csr32 {
-            row_ptr,
-            col_idx,
-            values,
-        }
-    }
-}
-
-/// `f32` mirror of a transfer operator.
-#[derive(Debug, Clone)]
-struct Rect32 {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f32>,
-}
-
-impl Rect32 {
-    fn of(m: &RectCsr) -> Rect32 {
-        Rect32 {
-            row_ptr: m.row_ptr.clone(),
-            col_idx: m.col_idx.clone(),
-            values: m.values.iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    fn mul_assign(&self, x: &[f32], y: &mut [f32]) {
-        y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-            let mut acc = 0.0f32;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *yi = acc;
-        });
-    }
-
-    fn mul_add(&self, x: &[f32], y: &mut [f32]) {
-        y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-            let mut acc = 0.0f32;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *yi += acc;
-        });
-    }
-}
-
 /// One level of the hierarchy: its operator, Jacobi inverse diagonal,
 /// and (except on the coarsest level) the transfers to the next level.
 #[derive(Debug)]
@@ -281,67 +171,47 @@ struct MgLevel {
     p: Option<RectCsr>,
     /// Restriction `Pᵀ` to the next-coarser level.
     r: Option<RectCsr>,
-    // f32 mirrors, present on levels below the finest when
-    // `mixed_precision` is set.
-    a32: Option<Csr32>,
-    inv_diag32: Vec<f32>,
-    p32: Option<Rect32>,
-    r32: Option<Rect32>,
 }
 
 /// Per-context scratch for the V-cycle: one `(x, b, t)` triple per
-/// level (plus `f32` mirrors when mixed precision is armed), reused
-/// across applies so a solve allocates nothing per iteration.
+/// level, reused across applies so a solve allocates nothing per
+/// iteration.
 #[derive(Debug, Default, Clone)]
 pub struct MgScratch {
     x: Vec<Vec<f64>>,
     b: Vec<Vec<f64>>,
     t: Vec<Vec<f64>>,
-    x32: Vec<Vec<f32>>,
-    b32: Vec<Vec<f32>>,
-    t32: Vec<Vec<f32>>,
-    key: (usize, usize),
-    n_levels: usize,
 }
 
 impl MgScratch {
+    /// Size the buffers for `h` unless they already fit its levels.
     fn ensure(&mut self, h: &MgHierarchy) {
-        if self.key == h.key && self.n_levels == h.levels.len() {
+        let fits = self.x.len() == h.levels.len()
+            && self
+                .x
+                .iter()
+                .zip(&h.levels)
+                .all(|(x, l)| x.len() == l.a.dim());
+        if fits {
             return;
         }
-        self.key = h.key;
-        self.n_levels = h.levels.len();
         let dims: Vec<usize> = h.levels.iter().map(|l| l.a.dim()).collect();
         self.x = dims.iter().map(|&n| vec![0.0; n]).collect();
         self.b = dims.iter().map(|&n| vec![0.0; n]).collect();
         self.t = dims.iter().map(|&n| vec![0.0; n]).collect();
-        if h.opts.mixed_precision {
-            self.x32 = dims.iter().map(|&n| vec![0.0f32; n]).collect();
-            self.b32 = dims.iter().map(|&n| vec![0.0f32; n]).collect();
-            self.t32 = dims.iter().map(|&n| vec![0.0f32; n]).collect();
-        } else {
-            self.x32.clear();
-            self.b32.clear();
-            self.t32.clear();
-        }
     }
 }
 
-/// The assembled multigrid hierarchy for one conductance matrix,
-/// shared immutably (via `Arc`) between every solver context armed for
-/// that matrix.
+/// The assembled multigrid hierarchy for one conductance matrix. The
+/// owning [`ThermalModel`](crate::grid::ThermalModel) lends it to each
+/// steady solve; it is immutable after the build.
 #[derive(Debug)]
 pub struct MgHierarchy {
-    key: (usize, usize),
     levels: Vec<MgLevel>,
     /// Dense lower-triangular Cholesky factor of the coarsest operator
     /// (row-major `coarse_n × coarse_n`).
     coarse_chol: Vec<f64>,
     coarse_n: usize,
-    opts: MgOptions,
-    /// Stencil fast path for finest-level matvecs, when the matrix
-    /// classified.
-    stencil: Option<Arc<StencilMatrix>>,
 }
 
 impl Drop for MgHierarchy {
@@ -354,26 +224,21 @@ impl MgHierarchy {
     /// Build the hierarchy for `a`. Returns `None` when no useful
     /// hierarchy exists (coarsening stalls far above the direct-solve
     /// limit, or the coarsest operator is not positive definite) — the
-    /// caller then stays on the Jacobi path.
-    pub fn build(
-        a: &CsrMatrix,
-        opts: MgOptions,
-        stencil: Option<Arc<StencilMatrix>>,
-    ) -> Option<Arc<MgHierarchy>> {
-        let n = a.dim();
-        if n == 0 || opts.max_levels == 0 {
+    /// caller then stays on the Jacobi path. Boxed so the address the
+    /// sanitizer cell is keyed on stays put when the owner moves.
+    pub fn build(a: &CsrMatrix) -> Option<Box<MgHierarchy>> {
+        if a.dim() == 0 {
             return None;
         }
-        let stencil = stencil.filter(|s| s.key() == (n, a.nnz()));
         let mut levels: Vec<MgLevel> = Vec::new();
         let mut cur = a.clone();
-        while cur.dim() > opts.coarse_direct_limit && levels.len() + 1 < opts.max_levels {
+        while cur.dim() > COARSE_DIRECT_LIMIT && levels.len() + 1 < MAX_LEVELS {
             let inv_diag = inv_diag_of(&cur);
             let (agg, n_c) = aggregate(&cur);
             if n_c >= cur.dim() {
                 break;
             }
-            let p = interpolation(&cur, &inv_diag, &agg, n_c, &opts);
+            let p = interpolation(&cur, &inv_diag, &agg, n_c);
             let r = p.transpose();
             let a_next = galerkin(&cur, &p, &r);
             levels.push(MgLevel {
@@ -381,14 +246,10 @@ impl MgHierarchy {
                 inv_diag,
                 p: Some(p),
                 r: Some(r),
-                a32: None,
-                inv_diag32: Vec::new(),
-                p32: None,
-                r32: None,
             });
             cur = a_next;
         }
-        if cur.dim() > 4 * opts.coarse_direct_limit.max(1) {
+        if cur.dim() > 4 * COARSE_DIRECT_LIMIT {
             // Coarsening stalled while the operator is still too big
             // for a dense direct solve; no useful hierarchy.
             return None;
@@ -400,36 +261,16 @@ impl MgHierarchy {
             inv_diag: Vec::new(),
             p: None,
             r: None,
-            a32: None,
-            inv_diag32: Vec::new(),
-            p32: None,
-            r32: None,
         });
-        if opts.mixed_precision {
-            for lev in levels.iter_mut().skip(1) {
-                lev.a32 = Some(Csr32::of(&lev.a));
-                lev.inv_diag32 = lev.inv_diag.iter().map(|&d| d as f32).collect();
-                lev.p32 = lev.p.as_ref().map(Rect32::of);
-                lev.r32 = lev.r.as_ref().map(Rect32::of);
-            }
-        }
-        let h = Arc::new(MgHierarchy {
-            key: (n, a.nnz()),
+        let h = Box::new(MgHierarchy {
             levels,
             coarse_chol,
             coarse_n,
-            opts,
-            stencil,
         });
         // Publish the hierarchy buffers to the sanitizer: the build is
         // the single write, every apply a read.
         sanitizer::shared_write(MG_CELL, sanitizer::obj_id(&*h));
         Some(h)
-    }
-
-    /// `(dim, nnz)` of the finest-level matrix.
-    pub fn key(&self) -> (usize, usize) {
-        self.key
     }
 
     /// Number of levels including the coarsest.
@@ -443,11 +284,6 @@ impl MgHierarchy {
         self.levels[l].a.dim()
     }
 
-    /// The options the hierarchy was built with.
-    pub fn options(&self) -> &MgOptions {
-        &self.opts
-    }
-
     /// Apply the preconditioner: `z ≈ A⁻¹·rhs` by one V-cycle from a
     /// zero initial guess. Pure function of `(self, rhs)` — `scratch`
     /// only carries buffers — and bitwise deterministic across thread
@@ -456,15 +292,11 @@ impl MgHierarchy {
         sanitizer::shared_read(MG_CELL, sanitizer::obj_id(self));
         scratch.ensure(self);
         scratch.b[0].copy_from_slice(rhs);
-        if self.opts.mixed_precision && self.levels.len() > 1 {
-            self.cycle_mixed(scratch);
-        } else {
-            self.cycle(0, scratch);
-        }
+        self.cycle(0, scratch);
         z.copy_from_slice(&scratch.x[0]);
     }
 
-    /// One V-cycle recursion step on level `l` (all-`f64` path).
+    /// One V-cycle recursion step on level `l`.
     fn cycle(&self, l: usize, s: &mut MgScratch) {
         debug_assert!(l < self.levels.len());
         let lev = &self.levels[l];
@@ -477,38 +309,18 @@ impl MgHierarchy {
         };
         // Pre-smooth from the zero guess.
         zero(&mut s.x[l]);
-        for _ in 0..self.opts.pre_sweeps {
-            self.smooth(l, lev, s);
+        for _ in 0..SMOOTHING_SWEEPS {
+            sgs_sweep_csr(&lev.a, &lev.inv_diag, &s.b[l], &mut s.x[l]);
         }
         // Coarse-grid correction: restrict the residual, recurse,
         // interpolate the coarse update back.
-        self.level_residual(l, lev, &s.b[l], &s.x[l], &mut s.t[l]);
+        residual_csr(&lev.a, &s.b[l], &s.x[l], &mut s.t[l]);
         r.mul_assign(&s.t[l], &mut s.b[l + 1]);
         self.cycle(l + 1, s);
         let (head, tail) = s.x.split_at_mut(l + 1);
         p.mul_add(&tail[0], &mut head[l]);
-        for _ in 0..self.opts.post_sweeps {
-            self.smooth(l, lev, s);
-        }
-    }
-
-    /// One in-place symmetric Gauss-Seidel sweep on level `l`, through
-    /// the stencil fast path on the finest level.
-    fn smooth(&self, l: usize, lev: &MgLevel, s: &mut MgScratch) {
-        debug_assert!(l < s.x.len());
-        match (&self.stencil, l) {
-            (Some(st), 0) => st.sgs_sweep(&s.b[l], &lev.inv_diag, &mut s.x[l]),
-            _ => sgs_sweep_csr(&lev.a, &lev.inv_diag, &s.b[l], &mut s.x[l]),
-        }
-    }
-
-    /// `out = b − A·x` on level `l`, through the stencil fast path on
-    /// the finest level.
-    fn level_residual(&self, l: usize, lev: &MgLevel, b: &[f64], x: &[f64], out: &mut [f64]) {
-        debug_assert!(l < self.levels.len());
-        match (&self.stencil, l) {
-            (Some(st), 0) => st.residual(b, x, out),
-            _ => residual_csr(&lev.a, b, x, out),
+        for _ in 0..SMOOTHING_SWEEPS {
+            sgs_sweep_csr(&lev.a, &lev.inv_diag, &s.b[l], &mut s.x[l]);
         }
     }
 
@@ -534,60 +346,6 @@ impl MgHierarchy {
             x[i] = acc / l[i * n + i];
         }
     }
-
-    /// Mixed-precision cycle: finest level in `f64`, everything below
-    /// in `f32`, coarsest direct solve in `f64`.
-    fn cycle_mixed(&self, s: &mut MgScratch) {
-        let lev = &self.levels[0];
-        let (Some(p), Some(r)) = (&lev.p, &lev.r) else {
-            return;
-        };
-        zero(&mut s.x[0]);
-        for _ in 0..self.opts.pre_sweeps {
-            self.smooth(0, lev, s);
-        }
-        self.level_residual(0, lev, &s.b[0], &s.x[0], &mut s.t[0]);
-        // Restrict in f64, then narrow the coarse right-hand side.
-        r.mul_assign(&s.t[0], &mut s.b[1]);
-        narrow(&s.b[1], &mut s.b32[1]);
-        self.cycle32(1, s);
-        // Widen the coarse update and interpolate it back in f64;
-        // b[1] is free again at this point.
-        widen(&s.x32[1], &mut s.b[1]);
-        p.mul_add(&s.b[1], &mut s.x[0]);
-        for _ in 0..self.opts.post_sweeps {
-            self.smooth(0, lev, s);
-        }
-    }
-
-    /// V-cycle recursion in `f32` (levels ≥ 1 under mixed precision).
-    fn cycle32(&self, l: usize, s: &mut MgScratch) {
-        debug_assert!(l < self.levels.len());
-        let lev = &self.levels[l];
-        if l + 1 == self.levels.len() {
-            // Coarsest: widen, solve exactly in f64, narrow back.
-            widen(&s.b32[l], &mut s.b[l]);
-            // Split-borrow x/b at the same level (different fields).
-            self.coarse_solve(&s.b[l], &mut s.x[l]);
-            narrow(&s.x[l], &mut s.x32[l]);
-            return;
-        }
-        let (Some(a32), Some(p32), Some(r32)) = (&lev.a32, &lev.p32, &lev.r32) else {
-            return;
-        };
-        s.x32[l].iter_mut().for_each(|v| *v = 0.0);
-        for _ in 0..self.opts.pre_sweeps {
-            sgs_sweep_csr32(a32, &lev.inv_diag32, &s.b32[l], &mut s.x32[l]);
-        }
-        residual_csr32(a32, &s.b32[l], &s.x32[l], &mut s.t32[l]);
-        r32.mul_assign(&s.t32[l], &mut s.b32[l + 1]);
-        self.cycle32(l + 1, s);
-        let (head, tail) = s.x32.split_at_mut(l + 1);
-        p32.mul_add(&tail[0], &mut head[l]);
-        for _ in 0..self.opts.post_sweeps {
-            sgs_sweep_csr32(a32, &lev.inv_diag32, &s.b32[l], &mut s.x32[l]);
-        }
-    }
 }
 
 /// The Jacobi inverse diagonal of `a` (guarded like the CG context's).
@@ -600,18 +358,6 @@ fn inv_diag_of(a: &CsrMatrix) -> Vec<f64> {
 
 fn zero(v: &mut [f64]) {
     v.iter_mut().for_each(|x| *x = 0.0);
-}
-
-fn narrow(src: &[f64], dst: &mut [f32]) {
-    dst.par_iter_mut()
-        .zip(src.par_iter())
-        .for_each(|(d, &s)| *d = s as f32);
-}
-
-fn widen(src: &[f32], dst: &mut [f64]) {
-    dst.par_iter_mut()
-        .zip(src.par_iter())
-        .for_each(|(d, &s)| *d = f64::from(s));
 }
 
 /// One in-place symmetric Gauss-Seidel sweep over a generic CSR level
@@ -640,36 +386,6 @@ fn residual_csr(a: &CsrMatrix, b: &[f64], x: &[f64], out: &mut [f64]) {
         let mut acc = 0.0;
         for (j, v) in a.row(i) {
             acc += v * x[j];
-        }
-        *oi = b[i] - acc;
-    });
-}
-
-fn sgs_sweep_csr32(a: &Csr32, inv_diag: &[f32], b: &[f32], x: &mut [f32]) {
-    debug_assert!(x.len() + 1 == a.row_ptr.len());
-    let n = a.row_ptr.len() - 1;
-    for i in 0..n {
-        let mut acc = 0.0f32;
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            acc += a.values[k] * x[a.col_idx[k] as usize];
-        }
-        x[i] += inv_diag[i] * (b[i] - acc);
-    }
-    for i in (0..n).rev() {
-        let mut acc = 0.0f32;
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            acc += a.values[k] * x[a.col_idx[k] as usize];
-        }
-        x[i] += inv_diag[i] * (b[i] - acc);
-    }
-}
-
-fn residual_csr32(a: &Csr32, b: &[f32], x: &[f32], out: &mut [f32]) {
-    debug_assert!(out.len() + 1 == a.row_ptr.len());
-    out.par_iter_mut().enumerate().for_each(|(i, oi)| {
-        let mut acc = 0.0f32;
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            acc += a.values[k] * x[a.col_idx[k] as usize];
         }
         *oi = b[i] - acc;
     });
@@ -729,31 +445,18 @@ fn aggregate(a: &CsrMatrix) -> (Vec<u32>, usize) {
 }
 
 /// The prolongator for an aggregation: piecewise constant over the
-/// aggregates, optionally smoothed by one damped-Jacobi sweep
+/// aggregates, smoothed by one damped-Jacobi sweep
 /// (`P = (I − ω·D⁻¹·A)·P_tent`), which spreads each aggregate's basis
 /// function over its neighbours and is what makes aggregation MG
 /// converge at grid-independent rates.
-fn interpolation(
-    a: &CsrMatrix,
-    inv_diag: &[f64],
-    agg: &[u32],
-    n_coarse: usize,
-    opts: &MgOptions,
-) -> RectCsr {
+fn interpolation(a: &CsrMatrix, inv_diag: &[f64], agg: &[u32], n_coarse: usize) -> RectCsr {
     let n = a.dim();
     let mut rows: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n);
-    if !opts.smoothed_interpolation {
-        for &g in agg.iter().take(n) {
-            rows.push(vec![(g, 1.0)]);
-        }
-        return RectCsr::from_rows(n_coarse, rows);
-    }
-    let wd = opts.interpolation_damping_factor;
     let mut acc: BTreeMap<u32, f64> = BTreeMap::new();
     for i in 0..n {
         acc.clear();
         for (k, v) in a.row(i) {
-            *acc.entry(agg[k]).or_insert(0.0) -= wd * inv_diag[i] * v;
+            *acc.entry(agg[k]).or_insert(0.0) -= INTERPOLATION_DAMPING * inv_diag[i] * v;
         }
         *acc.entry(agg[i]).or_insert(0.0) += 1.0;
         rows.push(acc.iter().map(|(&c, &v)| (c, v)).collect());
@@ -870,7 +573,7 @@ mod tests {
     #[test]
     fn hierarchy_coarsens_geometrically() {
         let a = grid3d(12, 12, 8, 100.0);
-        let h = MgHierarchy::build(&a, MgOptions::default(), None).expect("must build");
+        let h = MgHierarchy::build(&a).expect("must build");
         assert!(h.n_levels() >= 2, "{} levels", h.n_levels());
         for l in 1..h.n_levels() {
             assert!(
@@ -881,15 +584,15 @@ mod tests {
             );
         }
         let coarsest = h.level_dim(h.n_levels() - 1);
-        assert!(coarsest <= MgOptions::default().coarse_direct_limit);
+        assert!(coarsest <= COARSE_DIRECT_LIMIT);
     }
 
     #[test]
     fn vcycle_is_symmetric() {
-        // xᵀ·M⁻¹·y == yᵀ·M⁻¹·x for the V(1,1) cycle with equal
-        // pre/post Jacobi sweeps.
+        // xᵀ·M⁻¹·y == yᵀ·M⁻¹·x for the V(2,2) cycle with equal
+        // pre/post symmetric Gauss-Seidel sweeps.
         let a = grid3d(10, 9, 6, 50.0);
-        let h = MgHierarchy::build(&a, MgOptions::default(), None).expect("must build");
+        let h = MgHierarchy::build(&a).expect("must build");
         let n = a.dim();
         let x: Vec<f64> = (0..n)
             .map(|i| ((i * 2654435761) % 1000) as f64 / 500.0 - 1.0)
@@ -914,7 +617,7 @@ mod tests {
         // must contract quickly; this is the property that buys CG its
         // iteration count.
         let a = grid3d(12, 12, 8, 100.0);
-        let h = MgHierarchy::build(&a, MgOptions::default(), None).expect("must build");
+        let h = MgHierarchy::build(&a).expect("must build");
         let n = a.dim();
         let b: Vec<f64> = (0..n).map(|i| ((i * 31) % 17) as f64 - 8.0).collect();
         let mut x = vec![0.0; n];
@@ -941,52 +644,19 @@ mod tests {
     }
 
     #[test]
-    fn mixed_precision_cycle_still_contracts() {
-        let a = grid3d(10, 10, 8, 100.0);
-        let opts = MgOptions {
-            mixed_precision: true,
-            ..MgOptions::default()
-        };
-        let h = MgHierarchy::build(&a, opts, None).expect("must build");
-        let n = a.dim();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 29) as f64 - 14.0).collect();
-        let mut x = vec![0.0; n];
-        let mut s = MgScratch::default();
-        let mut res = b.clone();
-        let norm0: f64 = res.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let mut z = vec![0.0; n];
-        for _ in 0..20 {
-            h.apply(&res, &mut z, &mut s);
-            for i in 0..n {
-                x[i] += z[i];
-            }
-            let mut ax = vec![0.0; n];
-            a.mul_vec(&x, &mut ax);
-            for i in 0..n {
-                res[i] = b[i] - ax[i];
-            }
-        }
-        let norm: f64 = res.iter().map(|v| v * v).sum::<f64>().sqrt();
-        assert!(
-            norm < 1e-8 * norm0,
-            "mixed-precision V-cycle stalls: {norm:e} vs {norm0:e}"
-        );
-    }
-
-    #[test]
     fn indefinite_matrix_yields_no_hierarchy() {
         let mut t = TripletMatrix::new(3);
         t.add(0, 0, 1.0);
         t.add(1, 1, -1.0);
         t.add(2, 2, 1.0);
         let a = t.to_csr();
-        assert!(MgHierarchy::build(&a, MgOptions::default(), None).is_none());
+        assert!(MgHierarchy::build(&a).is_none());
     }
 
     #[test]
     fn tiny_matrix_is_a_single_direct_level() {
         let a = grid3d(3, 3, 2, 10.0);
-        let h = MgHierarchy::build(&a, MgOptions::default(), None).expect("must build");
+        let h = MgHierarchy::build(&a).expect("must build");
         assert_eq!(h.n_levels(), 1);
         // One apply then solves exactly.
         let b: Vec<f64> = (0..a.dim()).map(|i| i as f64 + 1.0).collect();
@@ -1023,7 +693,7 @@ mod diag {
     //! factor and the true MG-PCG iteration count on a real immersion
     //! stack. Run with
     //! `cargo test -p immersion-thermal mg::diag -- --ignored --nocapture`
-    //! (knobs: CHIPS, GRID, SW env vars).
+    //! (knobs: CHIPS, GRID env vars).
     use super::*;
 
     #[test]
@@ -1047,13 +717,7 @@ mod diag {
             .build()
             .unwrap();
         let a = model.matrix();
-        let sw: usize = std::env::var("SW").map(|v| v.parse().unwrap()).unwrap_or(2);
-        let opts = MgOptions {
-            pre_sweeps: sw,
-            post_sweeps: sw,
-            ..MgOptions::default()
-        };
-        let h = match MgHierarchy::build(a, opts, None) {
+        let h = match MgHierarchy::build(a) {
             Some(h) => h,
             None => {
                 println!("NO HIERARCHY n={}", a.dim());
@@ -1117,7 +781,7 @@ mod diag {
             }
         }
         println!(
-            "chips={chips} grid={grid} sweeps={sw} dims={dims:?} rho={rho:.3} pcg_iters={iters}"
+            "chips={chips} grid={grid} sweeps={SMOOTHING_SWEEPS} dims={dims:?} rho={rho:.3} pcg_iters={iters}"
         );
     }
 }

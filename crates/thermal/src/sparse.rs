@@ -1,5 +1,6 @@
-//! Minimal sparse linear algebra: CSR matrices and a Jacobi-preconditioned
-//! conjugate-gradient solver.
+//! Minimal sparse linear algebra: CSR matrices and a preconditioned
+//! conjugate-gradient solver (Jacobi, or a multigrid V-cycle when the
+//! caller supplies a hierarchy).
 //!
 //! The steady-state heat equation discretised by finite volumes yields a
 //! symmetric positive-definite conductance matrix `G` (diagonal = sum of
@@ -10,10 +11,8 @@
 //! hpc-parallel guides.
 
 use crate::mg::{MgHierarchy, MgScratch};
-use crate::stencil::StencilMatrix;
 use crate::{Result, ThermalError};
 use rayon::prelude::*;
-use std::sync::Arc;
 
 /// A triplet-form builder for assembling a sparse matrix.
 #[derive(Debug, Default, Clone)]
@@ -202,9 +201,10 @@ impl Default for CgOptions {
 }
 
 /// Reusable per-matrix solver state: the Jacobi inverse diagonal, the
-/// four CG scratch vectors, and the last converged solution.
+/// CG and V-cycle scratch vectors, and the last converged solution.
 ///
-/// A context is keyed to one matrix (checked cheaply by `(dim, nnz)`):
+/// A context is keyed to one matrix (checked cheaply by `(dim, nnz)`,
+/// a mismatch rebuilds the scratch and drops the warm state):
 /// [`ThermalModel`](crate::grid::ThermalModel) caches one per model so
 /// repeated solves reuse the scratch allocations and warm-start from
 /// the previous operating point instead of the ambient guess. The only
@@ -222,13 +222,6 @@ pub struct SolverContext {
     last_solution: Option<Vec<f64>>,
     solves: usize,
     total_iterations: usize,
-    /// Multigrid preconditioner armed for this matrix (shared with the
-    /// owning model); used only when its key matches the solve matrix,
-    /// so a stale or default context degrades gracefully to Jacobi.
-    mg: Option<Arc<MgHierarchy>>,
-    /// 7-point stencil fast path for grid-born matvecs (bitwise equal
-    /// to the CSR product, so selection does not perturb results).
-    stencil: Option<Arc<StencilMatrix>>,
     mg_scratch: MgScratch,
     /// Fixed-chunk partial sums for [`dot_stable`].
     partials: Vec<f64>,
@@ -262,36 +255,6 @@ impl SolverContext {
         self.p = vec![0.0; n];
         self.ap = vec![0.0; n];
         self.last_solution = None;
-        // Fast paths armed for a different matrix are useless now, but
-        // keep any that already match `a` — a freshly taken default
-        // context is armed *before* its first prepare, and dropping the
-        // hierarchy here would silently fall back to Jacobi.
-        if self.mg.as_ref().is_some_and(|m| m.key() != key) {
-            self.mg = None;
-        }
-        if self.stencil.as_ref().is_some_and(|s| s.key() != key) {
-            self.stencil = None;
-        }
-    }
-
-    /// Arm the context with the matrix-specific fast paths: a multigrid
-    /// hierarchy to precondition with and/or a stencil matvec. Both are
-    /// cheap `Arc` clones shared with the owning model, and both are
-    /// ignored (falling back to Jacobi + CSR) whenever their key does
-    /// not match the matrix being solved — e.g. on the default context
-    /// a concurrent [`take`](crate::grid::ThermalModel) handed out.
-    pub fn attach_fast_paths(
-        &mut self,
-        mg: Option<Arc<MgHierarchy>>,
-        stencil: Option<Arc<StencilMatrix>>,
-    ) {
-        self.mg = mg;
-        self.stencil = stencil;
-    }
-
-    /// The armed multigrid hierarchy, if any.
-    pub fn multigrid(&self) -> Option<&MgHierarchy> {
-        self.mg.as_deref()
     }
 
     /// The last converged solution, if any — the warm-start guess for
@@ -340,16 +303,19 @@ pub fn solve_cg(
     opts: CgOptions,
 ) -> Result<(Vec<f64>, usize)> {
     let mut ctx = SolverContext::new(a);
-    solve_cg_with(a, b, x0, opts, &mut ctx)
+    solve_cg_with(a, None, b, x0, opts, &mut ctx)
 }
 
-/// [`solve_cg`] against caller-owned solver state: scratch vectors and
-/// the inverse diagonal come from `ctx` (rebuilt only when the matrix
-/// changed), and a converged solution is recorded there for the next
-/// warm start. Only the solution vector is allocated per solve; each
+/// [`solve_cg`] against caller-owned solver state, preconditioned by
+/// one V-cycle of `mg` (which must be the hierarchy built for `a`) or,
+/// when `mg` is `None`, by Jacobi. Scratch vectors and the inverse
+/// diagonal come from `ctx` (rebuilt only when the matrix changed), and
+/// a converged solution is recorded there for the next warm start.
+/// Only the solution vector is allocated per solve; each Jacobi
 /// iteration is two fused passes plus one SpMV and one dot product.
 pub fn solve_cg_with(
     a: &CsrMatrix,
+    mg: Option<&MgHierarchy>,
     b: &[f64],
     x0: &[f64],
     opts: CgOptions,
@@ -359,13 +325,9 @@ pub fn solve_cg_with(
     assert_eq!(b.len(), n);
     assert_eq!(x0.len(), n);
     ctx.prepare(a);
-
-    // An armed multigrid hierarchy (key-matched to this matrix) routes
-    // to the MG-preconditioned loop; anything else stays on Jacobi.
-    let key = (a.dim(), a.nnz());
-    if let Some(mg) = ctx.mg.clone().filter(|m| m.key() == key) {
-        let stencil = ctx.stencil.clone().filter(|s| s.key() == key);
-        return solve_cg_mg(a, &mg, stencil.as_deref(), b, x0, opts, ctx);
+    if let Some(mg) = mg {
+        debug_assert_eq!(mg.level_dim(0), n, "hierarchy built for another matrix");
+        return solve_cg_mg(a, mg, b, x0, opts, ctx);
     }
 
     let bnorm = l2(b);
@@ -438,16 +400,11 @@ pub fn solve_cg_with(
 fn solve_cg_mg(
     a: &CsrMatrix,
     mg: &MgHierarchy,
-    stencil: Option<&StencilMatrix>,
     b: &[f64],
     x0: &[f64],
     opts: CgOptions,
     ctx: &mut SolverContext,
 ) -> Result<(Vec<f64>, usize)> {
-    let matvec = |v: &[f64], out: &mut [f64]| match stencil {
-        Some(st) => st.mul_vec(v, out),
-        None => a.mul_vec(v, out),
-    };
     let SolverContext {
         r,
         z,
@@ -466,7 +423,7 @@ fn solve_cg_mg(
     }
 
     let mut x = x0.to_vec();
-    matvec(&x, r);
+    a.mul_vec(&x, r);
     r.par_iter_mut()
         .zip(b.par_iter())
         .for_each(|(ri, &bi)| *ri = bi - *ri);
@@ -481,7 +438,7 @@ fn solve_cg_mg(
     p.copy_from_slice(z);
 
     for it in 1..=opts.max_iterations {
-        matvec(p, ap);
+        a.mul_vec(p, ap);
         let pap = dot_stable(p, ap, partials);
         if pap <= 0.0 {
             return Err(ThermalError::SolverDiverged {
@@ -805,9 +762,10 @@ mod tests {
         let mut ctx = SolverContext::new(&a);
         assert!(ctx.warm_guess().is_none());
         let (_, cold) =
-            solve_cg_with(&a, &b, &vec![0.0; n], CgOptions::default(), &mut ctx).unwrap();
+            solve_cg_with(&a, None, &b, &vec![0.0; n], CgOptions::default(), &mut ctx).unwrap();
         let guess = ctx.warm_guess().unwrap().to_vec();
-        let (_, warm) = solve_cg_with(&a, &b, &guess, CgOptions::default(), &mut ctx).unwrap();
+        let (_, warm) =
+            solve_cg_with(&a, None, &b, &guess, CgOptions::default(), &mut ctx).unwrap();
         assert!(warm <= 2, "re-solving from the cached field is free");
         assert!(cold > warm);
         assert_eq!(ctx.solves(), 2);
@@ -819,14 +777,29 @@ mod tests {
         let a = laplacian_1d(40);
         let b40 = vec![1.0; 40];
         let mut ctx = SolverContext::new(&a);
-        solve_cg_with(&a, &b40, &vec![0.0; 40], CgOptions::default(), &mut ctx).unwrap();
+        solve_cg_with(
+            &a,
+            None,
+            &b40,
+            &vec![0.0; 40],
+            CgOptions::default(),
+            &mut ctx,
+        )
+        .unwrap();
         assert!(ctx.warm_guess().is_some());
         // A different matrix invalidates the cached state but must still
         // solve correctly through the same context.
         let a2 = laplacian_1d(60);
         let b60 = vec![1.0; 60];
-        let (x, _) =
-            solve_cg_with(&a2, &b60, &vec![0.0; 60], CgOptions::default(), &mut ctx).unwrap();
+        let (x, _) = solve_cg_with(
+            &a2,
+            None,
+            &b60,
+            &vec![0.0; 60],
+            CgOptions::default(),
+            &mut ctx,
+        )
+        .unwrap();
         let mut ax = vec![0.0; 60];
         a2.mul_vec(&x, &mut ax);
         for (axi, bi) in ax.iter().zip(&b60) {
@@ -839,7 +812,7 @@ mod tests {
         let a = laplacian_1d(50);
         let b = vec![1.0; 50];
         let mut ctx = SolverContext::new(&a);
-        solve_cg_with(&a, &b, &vec![0.0; 50], CgOptions::default(), &mut ctx).unwrap();
+        solve_cg_with(&a, None, &b, &vec![0.0; 50], CgOptions::default(), &mut ctx).unwrap();
         let solves = ctx.solves();
         ctx.forget_solution();
         assert!(ctx.warm_guess().is_none());

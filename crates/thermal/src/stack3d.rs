@@ -363,7 +363,8 @@ impl StackBuilder {
     }
 
     /// Choose the steady-solve preconditioner (default
-    /// [`PrecondChoice::Auto`]).
+    /// [`PrecondChoice::Auto`]: multigrid when the hierarchy builds,
+    /// Jacobi otherwise).
     pub fn preconditioner(mut self, p: PrecondChoice) -> Self {
         self.precond = p;
         self

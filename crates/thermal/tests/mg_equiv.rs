@@ -1,7 +1,6 @@
-//! Equivalence and property tests for the multigrid preconditioner
-//! and the stencil fast path.
+//! Equivalence and property tests for the multigrid preconditioner.
 //!
-//! Three claims, checked on randomized stacked-CMP models (the same
+//! Two claims, checked on randomized stacked-CMP models (the same
 //! assembly path production uses, not synthetic matrices):
 //!
 //! 1. **Solver equivalence** — the multigrid-preconditioned CG and
@@ -13,16 +12,12 @@
 //!    symmetric (`xᵀMy == yᵀMx`): symmetric Gauss–Seidel smoothing
 //!    with equal pre/post sweeps plus Galerkin coarse operators keep
 //!    CG's convergence theory valid.
-//! 3. **Stencil/CSR bitwise equality** — the 7-point stencil matvec
-//!    reproduces the generic CSR matvec bit for bit on grid-born
-//!    matrices (row-major neighbor order equals ascending-column CSR
-//!    order), so enabling the fast path can never move a result.
 
 use immersion_thermal::floorplan::{Floorplan, Rect};
 use immersion_thermal::mg::MgScratch;
 use immersion_thermal::sparse::CgOptions;
 use immersion_thermal::stack3d::{CoolingParams, StackBuilder};
-use immersion_thermal::{MgOptions, PrecondChoice, ThermalModel};
+use immersion_thermal::{PrecondChoice, ThermalModel};
 use proptest::prelude::*;
 
 /// A two-block die floorplan; block split position comes from the
@@ -115,59 +110,5 @@ proptest! {
             (xmy - ymx).abs() <= 1e-11 * scale,
             "asymmetry: x'My = {xmy} vs y'Mx = {ymx}"
         );
-    }
-
-    #[test]
-    fn stencil_matvec_is_bitwise_equal_to_csr(
-        chips in 1usize..4,
-        grid in 4usize..10,
-        split in 0.2f64..0.8,
-        xs in proptest::collection::vec(-100.0f64..100.0, 64),
-    ) {
-        let model = build(chips, grid, split, PrecondChoice::Jacobi);
-        let stencil = model.stencil().expect("grid-born matrix classifies");
-        let n = model.n_nodes();
-        let x: Vec<f64> = xs.iter().cycle().take(n).copied().collect();
-        let (mut y_st, mut y_csr) = (vec![0.0; n], vec![0.0; n]);
-        stencil.mul_vec(&x, &mut y_st);
-        model.matrix().mul_vec(&x, &mut y_csr);
-        for (i, (a, b)) in y_st.iter().zip(&y_csr).enumerate() {
-            prop_assert!(
-                a.to_bits() == b.to_bits(),
-                "row {i}: stencil {a:?} != csr {b:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn mixed_precision_inner_cycles_converge_to_the_same_field(
-        chips in 1usize..3,
-        grid in 4usize..9,
-        split in 0.2f64..0.8,
-        powers in proptest::collection::vec((0.5f64..8.0, 0.5f64..8.0), 2),
-    ) {
-        let full = build(chips, grid, split, PrecondChoice::Auto);
-        let mixed = build(
-            chips,
-            grid,
-            split,
-            PrecondChoice::Multigrid(MgOptions {
-                mixed_precision: true,
-                ..MgOptions::default()
-            }),
-        );
-        prop_assert!(mixed.multigrid().is_some());
-        let t_full = solve_cold(&full, &powers);
-        let t_mixed = solve_cold(&mixed, &powers);
-        let scale = t_full.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        for (a, b) in t_full.iter().zip(&t_mixed) {
-            // The outer CG residual check runs in f64 for both, so the
-            // narrowed inner cycles only change the path, not the
-            // fixpoint.
-            prop_assert!(
-                (a - b).abs() <= 1e-10 * scale,
-                "fields disagree: {a} vs {b}"
-            );
-        }
     }
 }
